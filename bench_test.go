@@ -253,7 +253,7 @@ func BenchmarkObsOverheadServe(b *testing.B) {
 
 // BenchmarkObsOverheadEdgeRelevance measures the instrumentation cost on
 // the Monte Carlo estimator (worlds-sampled counters, per-worker counts,
-// wall-time histogram) against the uninstrumented default.
+// wall-time latency) against the uninstrumented default.
 func BenchmarkObsOverheadEdgeRelevance(b *testing.B) {
 	g := benchGraph(b)
 	bench := func(o *obs.Observer) func(*testing.B) {

@@ -202,6 +202,18 @@ func TestCLIPipeline(t *testing.T) {
 			t.Fatalf("ugquery output missing %q:\n%s", want, queryOut)
 		}
 	}
+	// -pair and -knn read one set of sampled worlds: a -pair on the first
+	// -knn row's pair prints that row's reliability. Vertex 149 is a late,
+	// loosely attached vertex, so that reliability is well below 1.
+	knnOut := run("ugquery", "-g", graphPath, "-knn", "149", "-k", "3", "-samples", "200")
+	row := regexp.MustCompile(`(?m)^\s+1\s+(\d+)\s+([0-9.]+)$`).FindStringSubmatch(knnOut)
+	if row == nil {
+		t.Fatalf("ugquery -knn printed no first row:\n%s", knnOut)
+	}
+	pairOut := run("ugquery", "-g", graphPath, "-pair", "149,"+row[1], "-samples", "200")
+	if want := "R(149," + row[1] + ") = " + row[2]; !strings.Contains(pairOut, want) {
+		t.Fatalf("ugquery -pair disagrees with the -knn row %q:\n%s", want, pairOut)
+	}
 	relOut := run("ugquery", "-g", graphPath, "-relevance", "-top", "5", "-samples", "200")
 	if !strings.Contains(relOut, "ERR=") {
 		t.Fatalf("ugquery relevance output:\n%s", relOut)

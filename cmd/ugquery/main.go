@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -21,6 +22,7 @@ import (
 
 	"chameleon"
 	"chameleon/cmd/internal/runner"
+	"chameleon/internal/query"
 )
 
 type queryFlags struct {
@@ -67,6 +69,10 @@ func run(f queryFlags) error {
 		return err
 	}
 
+	// -pair and -knn share one engine: its label cache samples the worlds
+	// once, and both answers are read off the same worlds.
+	eng := query.New(g, query.Options{Samples: f.samples, Seed: f.seed, SpanEvery: -1})
+	ctx := context.Background()
 	ran := false
 	if f.pair != "" {
 		ran = true
@@ -74,20 +80,22 @@ func run(f queryFlags) error {
 		if err != nil {
 			return err
 		}
-		r := chameleon.PairReliability(g, u, v, f.samples, f.seed)
-		fmt.Printf("R(%d,%d) = %.4f\n", u, v, r)
-	}
-	if f.knn >= 0 {
-		ran = true
-		nbrs, err := chameleon.ReliabilityKNN(g, chameleon.NodeID(f.knn), f.k, f.samples, f.seed)
+		resp, err := eng.Do(ctx, query.Request{Kind: query.KindPairReliability, U: u, V: v})
 		if err != nil {
 			return err
 		}
-		rel := chameleon.ReliabilityFrom(g, chameleon.NodeID(f.knn), f.samples, f.seed)
+		fmt.Printf("R(%d,%d) = %.4f\n", u, v, resp.Value)
+	}
+	if f.knn >= 0 {
+		ran = true
+		resp, err := eng.Do(ctx, query.Request{Kind: query.KindKNN, U: chameleon.NodeID(f.knn), K: f.k})
+		if err != nil {
+			return err
+		}
 		tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 		fmt.Fprintf(tw, "reliability %d-NN of vertex %d:\n", f.k, f.knn)
-		for i, v := range nbrs {
-			fmt.Fprintf(tw, "  %d\t%d\t%.4f\n", i+1, v, rel[v])
+		for i, n := range resp.Neighbors {
+			fmt.Fprintf(tw, "  %d\t%d\t%.4f\n", i+1, n.Node, n.Reliability)
 		}
 		tw.Flush()
 	}

@@ -8,13 +8,12 @@
 package metrics
 
 import (
-	"math/rand/v2"
-	"runtime"
 	"sync"
 
 	"chameleon/internal/anf"
 	"chameleon/internal/hyperanf"
 	"chameleon/internal/privacy"
+	"chameleon/internal/reliability"
 	"chameleon/internal/uncertain"
 )
 
@@ -44,43 +43,10 @@ func (o Options) samples(def int) int {
 	return o.Samples
 }
 
-func (o Options) workers() int {
-	if o.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return o.Workers
-}
-
-// forEachWorld samples n worlds in parallel and calls fn per world.
-func (o Options) forEachWorld(g *uncertain.Graph, n int, fn func(i int, w *uncertain.World)) {
-	workers := o.workers()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			rng := rand.New(rand.NewPCG(o.Seed, uint64(i)+1))
-			fn(i, g.SampleWorld(rng))
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	jobs := make(chan int, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				rng := rand.New(rand.NewPCG(o.Seed, uint64(i)+1))
-				fn(i, g.SampleWorld(rng))
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+// engine returns the Monte Carlo engine that draws the n worlds a metric
+// averages over (see reliability.Estimator.ForEachWorld).
+func (o Options) engine(n int) reliability.Estimator {
+	return reliability.Estimator{Samples: n, Seed: o.Seed, Workers: o.Workers}
 }
 
 // AverageDegree returns the expected average node degree. Closed form:
@@ -91,7 +57,7 @@ func AverageDegree(g *uncertain.Graph) float64 { return g.ExpectedAvgDegree() }
 func (o Options) MaxDegree(g *uncertain.Graph) float64 {
 	n := o.samples(1000)
 	maxes := make([]int, n)
-	o.forEachWorld(g, n, func(i int, w *uncertain.World) {
+	o.engine(n).ForEachWorld(g, func(i int, w *uncertain.World) {
 		m := 0
 		for v := 0; v < w.NumNodes(); v++ {
 			if d := w.Degree(uncertain.NodeID(v)); d > m {
@@ -113,7 +79,7 @@ func (o Options) DegreeDistribution(g *uncertain.Graph) []float64 {
 	n := o.samples(1000)
 	var mu sync.Mutex
 	var acc []float64
-	o.forEachWorld(g, n, func(i int, w *uncertain.World) {
+	o.engine(n).ForEachWorld(g, func(i int, w *uncertain.World) {
 		local := make([]int, g.MaxStructuralDegree()+1)
 		for v := 0; v < w.NumNodes(); v++ {
 			local[w.Degree(uncertain.NodeID(v))]++
@@ -162,7 +128,7 @@ func (o Options) Distances(g *uncertain.Graph) DistanceStats {
 	n := o.samples(100)
 	ad := make([]float64, n)
 	ed := make([]float64, n)
-	o.forEachWorld(g, n, func(i int, w *uncertain.World) {
+	o.engine(n).ForEachWorld(g, func(i int, w *uncertain.World) {
 		var r anf.Result
 		if o.UseHyperANF {
 			opts := o.HyperANF
@@ -189,7 +155,7 @@ func (o Options) Distances(g *uncertain.Graph) DistanceStats {
 func (o Options) ClusteringCoefficient(g *uncertain.Graph) float64 {
 	n := o.samples(100)
 	vals := make([]float64, n)
-	o.forEachWorld(g, n, func(i int, w *uncertain.World) {
+	o.engine(n).ForEachWorld(g, func(i int, w *uncertain.World) {
 		vals[i] = worldClustering(w)
 	})
 	var total float64

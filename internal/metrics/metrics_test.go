@@ -184,6 +184,21 @@ func TestParallelMatchesSerial(t *testing.T) {
 	if a, b := serial.ClusteringCoefficient(g), parallel.ClusteringCoefficient(g); a != b {
 		t.Fatalf("Clustering differs across workers: %v vs %v", a, b)
 	}
+	// DegreeDistribution folds every world into one shared accumulator, so
+	// its sums run in scheduling order: integer counts keep them exact.
+	a, b := serial.DegreeDistribution(g), parallel.DegreeDistribution(g)
+	if len(a) != len(b) {
+		t.Fatalf("DegreeDistribution length differs across workers: %d vs %d", len(a), len(b))
+	}
+	for d := range a {
+		if a[d] != b[d] {
+			t.Fatalf("DegreeDistribution[%d] differs across workers: %v vs %v", d, a[d], b[d])
+		}
+	}
+	serial.Samples, parallel.Samples = 12, 12
+	if a, b := serial.Distances(g), parallel.Distances(g); a != b {
+		t.Fatalf("Distances differ across workers: %+v vs %+v", a, b)
+	}
 }
 
 func TestDistancesHyperANFAgreesWithFM(t *testing.T) {

@@ -75,7 +75,7 @@ func ExpectedTriangles(g *uncertain.Graph) float64 {
 func (o Options) Triangles(g *uncertain.Graph) float64 {
 	n := o.samples(500)
 	counts := make([]float64, n)
-	o.forEachWorld(g, n, func(i int, w *uncertain.World) {
+	o.engine(n).ForEachWorld(g, func(i int, w *uncertain.World) {
 		counts[i] = float64(worldTriangles(w))
 	})
 	var total float64

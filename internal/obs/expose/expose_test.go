@@ -23,10 +23,6 @@ func testObserver() *obs.Observer {
 	r.Counter("sweep.cells").Add(3)
 	r.Gauge("err.stderr.mean").Set(0.125)
 	r.Gauge("weird name-with.chars").Set(-1.5)
-	h := r.Histogram("op.seconds", []float64{0.01, 0.1, 1})
-	for _, v := range []float64{0.005, 0.05, 0.5, 2, 4} {
-		h.Observe(v)
-	}
 	q := r.Quality("mc.quality.ExpectedConnectedPairs")
 	for _, v := range []float64{100, 104, 96, 102, 98} {
 		q.Observe(v)
@@ -44,13 +40,13 @@ func testObserver() *obs.Observer {
 }
 
 // metricLine matches a Prometheus text-format sample: a valid metric name,
-// an optional label set (histogram le buckets, build_info identity
-// labels), and a float value.
+// an optional label set (summary quantiles, build_info identity labels),
+// and a float value.
 var metricLine = regexp.MustCompile(
 	`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[a-zA-Z_][a-zA-Z0-9_]*="[^"]*"(?:,[a-zA-Z_][a-zA-Z0-9_]*="[^"]*")*\})? (NaN|[+-]?Inf|[+-]?\d+(\.\d+)?([eE][+-]?\d+)?)$`)
 
 // typeLine matches a # TYPE comment.
-var typeLine = regexp.MustCompile(`^# TYPE ([a-zA-Z_:][a-zA-Z0-9_:]*) (counter|gauge|histogram|summary)$`)
+var typeLine = regexp.MustCompile(`^# TYPE ([a-zA-Z_:][a-zA-Z0-9_:]*) (counter|gauge|summary)$`)
 
 // TestMetricsEndpointFormat round-trips /metrics through httptest and
 // checks every line against the Prometheus text exposition grammar.
@@ -81,7 +77,6 @@ func TestMetricsEndpointFormat(t *testing.T) {
 	// "# TYPE" line or sample name, so duplicates are hard failures here.
 	samples := map[string]float64{}
 	typed := map[string]bool{}
-	var bucketLines []string
 	for _, line := range strings.Split(strings.TrimRight(string(body), "\n"), "\n") {
 		if strings.HasPrefix(line, "#") {
 			tm := typeLine.FindStringSubmatch(line)
@@ -105,9 +100,6 @@ func TestMetricsEndpointFormat(t *testing.T) {
 		}
 		v, _ := strconv.ParseFloat(m[3], 64)
 		samples[m[1]+m[2]] = v
-		if strings.HasPrefix(m[2], `{le="`) {
-			bucketLines = append(bucketLines, line)
-		}
 	}
 
 	want := map[string]float64{
@@ -117,12 +109,6 @@ func TestMetricsEndpointFormat(t *testing.T) {
 		"chameleon_weird_name_with_chars":                        -1.5,
 		"chameleon_mc_quality_ExpectedConnectedPairs_count":      5,
 		"chameleon_mc_quality_ExpectedConnectedPairs_mean":       100,
-		"chameleon_op_seconds_count":                             5,
-		"chameleon_op_seconds_sum":                               6.555,
-		`chameleon_op_seconds_bucket{le="0.01"}`:                 1,
-		`chameleon_op_seconds_bucket{le="0.1"}`:                  2,
-		`chameleon_op_seconds_bucket{le="1"}`:                    3,
-		`chameleon_op_seconds_bucket{le="+Inf"}`:                 5,
 		"chameleon_mc_worlds_sampled_per_second":                 samples["chameleon_mc_worlds_sampled_per_second"],
 		"chameleon_mc_quality_ExpectedConnectedPairs_stderr":     math.Sqrt(10) / math.Sqrt(5),
 		"chameleon_mc_quality_ExpectedConnectedPairs_rel_stderr": math.Sqrt(10) / math.Sqrt(5) / 100,
@@ -154,16 +140,6 @@ func TestMetricsEndpointFormat(t *testing.T) {
 	}
 	if _, ok := samples["chameleon_uptime_seconds"]; !ok {
 		t.Error("missing chameleon_uptime_seconds")
-	}
-
-	// Cumulative bucket counts must be monotonically non-decreasing.
-	var prev float64
-	for _, line := range bucketLines {
-		v := samples[line[:strings.LastIndexByte(line, ' ')]]
-		if v < prev {
-			t.Errorf("bucket counts not cumulative at %q", line)
-		}
-		prev = v
 	}
 }
 

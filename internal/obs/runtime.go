@@ -6,7 +6,8 @@ import (
 	"runtime/metrics"
 )
 
-// Names of the gauges and histograms the runtime sampler publishes.
+// Names of the gauges the runtime sampler publishes. The two distribution
+// names are prefixes: each publishes .p50, .p90 and .p99 gauges.
 const (
 	RuntimeGoroutines   = "runtime.goroutines"
 	RuntimeGomaxprocs   = "runtime.gomaxprocs"
@@ -17,15 +18,6 @@ const (
 	RuntimeSchedLatency = "runtime.sched_latency_seconds"
 )
 
-// gcPauseBuckets spans the realistic Go GC stop-the-world pause range,
-// 10µs to 100ms.
-var gcPauseBuckets = []float64{1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3, 0.01, 0.05, 0.1}
-
-// maxPauseReplay caps how many individual pause observations one Sample
-// call replays into the registry histogram; a long gap between samples on
-// a GC-heavy process must not turn a poll tick into an O(pauses) stall.
-const maxPauseReplay = 10_000
-
 // RuntimeSampler reads the runtime/metrics package and publishes Go
 // runtime health — goroutines, heap, GC pauses, scheduler latency — into
 // a Registry, from which the expose server's Prometheus endpoint picks
@@ -33,18 +25,17 @@ const maxPauseReplay = 10_000
 // expose differ tick) invokes Sample at its own cadence, so the sampler
 // adds no goroutine and no overhead when telemetry is off.
 //
-// GC pauses arrive from the runtime as a cumulative histogram; Sample
-// replays the delta since the previous call into a registry Histogram by
-// observing each new pause at its bucket midpoint. Scheduler latencies
-// can accumulate millions of counts, so those are summarized into
-// p50/p90/p99 gauges computed directly from the cumulative distribution
-// instead of replayed.
+// GC pauses and scheduler latencies arrive from the runtime as cumulative
+// histograms; Sample summarizes each into p50/p90/p99 gauges computed
+// directly from the distribution. The GC pause quantiles cover only the
+// pauses since the first Sample: pauses from before the sampler existed
+// are not this run's signal.
 type RuntimeSampler struct {
 	reg     *Registry
 	samples []metrics.Sample
-	// prevPause holds the previous cumulative GC pause bucket counts,
+	// basePause holds the GC pause bucket counts of the first Sample,
 	// aligned with the runtime histogram's bucket layout.
-	prevPause []uint64
+	basePause []uint64
 }
 
 // NewRuntimeSampler returns a sampler publishing into reg. A nil registry
@@ -103,50 +94,50 @@ func sampleFloat(v metrics.Value) float64 {
 	}
 }
 
-// samplePauses replays new GC pause observations (the delta of the
-// cumulative runtime histogram since the last call) into the registry
-// histogram, each at its bucket's midpoint.
+// samplePauses publishes GC pause quantile gauges over the pauses since
+// the first call: the cumulative runtime counts minus the counts that call
+// recorded as its baseline.
 func (s *RuntimeSampler) samplePauses(v metrics.Value) {
-	if v.Kind() != metrics.KindFloat64Histogram {
+	h := float64Histogram(v)
+	if h == nil {
 		return
 	}
-	h := v.Float64Histogram()
-	if h == nil || len(h.Counts) == 0 {
+	if len(s.basePause) != len(h.Counts) {
+		// First sample (or a layout change): record the baseline only.
+		s.basePause = append(s.basePause[:0], h.Counts...)
 		return
 	}
-	if len(s.prevPause) != len(h.Counts) {
-		// First sample (or a layout change): record the baseline without
-		// replaying history — pauses from before the sampler existed are
-		// not this run's signal.
-		s.prevPause = append(s.prevPause[:0], h.Counts...)
-		return
-	}
-	hist := s.reg.Histogram(RuntimeGCPause, gcPauseBuckets)
-	replayed := 0
+	since := &metrics.Float64Histogram{Buckets: h.Buckets, Counts: make([]uint64, len(h.Counts))}
 	for i, c := range h.Counts {
-		delta := c - s.prevPause[i]
-		s.prevPause[i] = c
-		if delta == 0 {
-			continue
-		}
-		mid := bucketMidpoint(h.Buckets, i)
-		for j := uint64(0); j < delta && replayed < maxPauseReplay; j++ {
-			hist.Observe(mid)
-			replayed++
-		}
+		since.Counts[i] = c - s.basePause[i]
+	}
+	s.publishQuantiles(RuntimeGCPause, since)
+}
+
+// sampleSchedLatency publishes goroutine scheduling latency quantile
+// gauges from the cumulative runtime distribution.
+func (s *RuntimeSampler) sampleSchedLatency(v metrics.Value) {
+	if h := float64Histogram(v); h != nil {
+		s.publishQuantiles(RuntimeSchedLatency, h)
 	}
 }
 
-// sampleSchedLatency publishes p50/p90/p99 goroutine scheduling latency
-// gauges from the cumulative runtime distribution.
-func (s *RuntimeSampler) sampleSchedLatency(v metrics.Value) {
+// float64Histogram unwraps a histogram-valued runtime metric, or returns
+// nil when v holds no buckets.
+func float64Histogram(v metrics.Value) *metrics.Float64Histogram {
 	if v.Kind() != metrics.KindFloat64Histogram {
-		return
+		return nil
 	}
 	h := v.Float64Histogram()
 	if h == nil || len(h.Counts) == 0 {
-		return
+		return nil
 	}
+	return h
+}
+
+// publishQuantiles sets the name.p50/.p90/.p99 gauges from h. An empty
+// distribution publishes nothing.
+func (s *RuntimeSampler) publishQuantiles(name string, h *metrics.Float64Histogram) {
 	var total uint64
 	for _, c := range h.Counts {
 		total += c
@@ -155,14 +146,14 @@ func (s *RuntimeSampler) sampleSchedLatency(v metrics.Value) {
 		return
 	}
 	for _, q := range []struct {
-		name string
-		p    float64
+		suffix string
+		p      float64
 	}{
-		{RuntimeSchedLatency + ".p50", 0.50},
-		{RuntimeSchedLatency + ".p90", 0.90},
-		{RuntimeSchedLatency + ".p99", 0.99},
+		{".p50", 0.50},
+		{".p90", 0.90},
+		{".p99", 0.99},
 	} {
-		s.reg.Gauge(q.name).Set(histQuantile(h, total, q.p))
+		s.reg.Gauge(name + q.suffix).Set(histQuantile(h, total, q.p))
 	}
 }
 

@@ -32,27 +32,35 @@ func TestRuntimeSamplerGauges(t *testing.T) {
 }
 
 // TestRuntimeSamplerGCPauseDelta: the first Sample only records the
-// baseline; after forced GC cycles a later Sample replays the new pauses
-// into the registry histogram.
+// baseline; after forced GC cycles a later Sample publishes ordered,
+// finite pause quantiles over the new pauses.
 func TestRuntimeSamplerGCPauseDelta(t *testing.T) {
 	reg := NewRegistry()
 	s := NewRuntimeSampler(reg)
-	s.Sample() // baseline — must not replay process history
+	s.Sample() // baseline — must not count process history
 
-	if h, ok := reg.Snapshot().Histograms[RuntimeGCPause]; ok && h.Count > 0 {
-		t.Fatalf("baseline sample replayed %d historical pauses", h.Count)
+	for _, suffix := range []string{".p50", ".p90", ".p99"} {
+		if v, ok := reg.Snapshot().Gauges[RuntimeGCPause+suffix]; ok {
+			t.Fatalf("baseline sample published %s%s = %v from historical pauses", RuntimeGCPause, suffix, v)
+		}
 	}
 
 	for i := 0; i < 3; i++ {
 		runtime.GC()
 	}
 	s.Sample()
-	h, ok := reg.Snapshot().Histograms[RuntimeGCPause]
-	if !ok || h.Count == 0 {
-		t.Fatal("no GC pauses recorded after forced GC cycles")
+	snap := reg.Snapshot()
+	p50, ok := snap.Gauges[RuntimeGCPause+".p50"]
+	if !ok {
+		t.Fatal("no GC pause quantiles published after forced GC cycles")
 	}
-	if h.Sum < 0 || math.IsNaN(h.Sum) || math.IsInf(h.Sum, 0) {
-		t.Fatalf("pause sum = %v", h.Sum)
+	p90 := snap.Gauges[RuntimeGCPause+".p90"]
+	p99 := snap.Gauges[RuntimeGCPause+".p99"]
+	if p50 < 0 || p90 < p50 || p99 < p90 {
+		t.Fatalf("pause quantiles out of order: p50=%v p90=%v p99=%v", p50, p90, p99)
+	}
+	if math.IsInf(p99, 0) || math.IsNaN(p99) {
+		t.Fatalf("pause p99 = %v, want finite", p99)
 	}
 }
 

@@ -2,6 +2,7 @@ package reliability
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"chameleon/internal/uncertain"
@@ -280,6 +281,30 @@ func TestPairReliabilityMatchesReference(t *testing.T) {
 			if got != want {
 				t.Errorf("%s workers=%d: PairReliability = %v, reference %v",
 					name, workers, got, want)
+			}
+		}
+	}
+}
+
+// TestForEachWorldMatchesReference: the exported world loop hands fn world
+// i of the reference stream, g.SampleWorld(rngFor(i)), for every i and at
+// any worker count.
+func TestForEachWorldMatchesReference(t *testing.T) {
+	for name, g := range equivalenceGraphs() {
+		for _, workers := range []int{1, 4} {
+			est := Estimator{Samples: 70, Seed: 3, Workers: workers}
+			got := make([][]bool, est.Samples)
+			edges := make([]int, est.Samples)
+			est.ForEachWorld(g, func(i int, w *uncertain.World) {
+				got[i] = w.PresenceMask()
+				edges[i] = w.NumEdges()
+			})
+			for i := range got {
+				want := g.SampleWorld(est.rngFor(i))
+				if !slices.Equal(got[i], want.PresenceMask()) || edges[i] != want.NumEdges() {
+					t.Fatalf("%s workers=%d: world %d = %v (%d edges), reference %v (%d edges)",
+						name, workers, i, got[i], edges[i], want.PresenceMask(), want.NumEdges())
+				}
 			}
 		}
 	}

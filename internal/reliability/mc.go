@@ -55,7 +55,8 @@ type Estimator struct {
 	// Workers caps sampling parallelism. Zero means GOMAXPROCS.
 	Workers int
 	// Obs, when non-nil, receives Monte Carlo metrics: worlds sampled,
-	// per-worker sample counts and per-estimator wall-time histograms.
+	// per-worker sample counts, per-estimator call counts and wall-time
+	// latencies (mc.latency.<op>), and estimator-quality streams.
 	Obs *obs.Observer
 	// Cache, when non-nil, memoizes sampled component labels across
 	// estimator calls, keyed by (graph identity, graph version, samples,
@@ -326,10 +327,10 @@ func stopRSE(w obs.Welford, target float64) bool {
 // forEachSampleAdaptive — and its count is the effective N.
 //
 // Work is handed out in chunks of sampleChunk consecutive indices claimed
-// off an atomic cursor, and each worker draws worlds into a pooled scratch,
-// so the steady state allocates nothing. Metrics go through the nil-safe
-// registry path: a nil Obs yields a nil registry whose instruments drop
-// updates, so no call site guards.
+// off an atomic cursor (see forEachFixed), and each worker draws worlds
+// into a pooled scratch, so the steady state allocates nothing. Metrics go
+// through the nil-safe registry path: a nil Obs yields a nil registry
+// whose instruments drop updates, so no call site guards.
 //
 // Cancellation (Estimator.Ctx) is cooperative at chunk boundaries: the
 // serial loop re-tests the context every sampleChunk samples and the
@@ -343,6 +344,34 @@ func (e Estimator) forEachSample(g uncertain.View, fn func(i int, sc *scratch) f
 	if e.adaptive() {
 		return e.forEachSampleAdaptive(g, fn)
 	}
+	return e.forEachFixed(g, sampleChunk, fn)
+}
+
+// ForEachWorld calls fn(i, w) for each of the Samples possible worlds of g,
+// w holding world i: the same world every estimator in this package draws
+// at index i for this Seed, Mode and FastSampling. It is the one
+// possible-world loop behind every Monte Carlo statistic that is not a
+// reliability (degree, distance, clustering, betweenness, travel cost).
+//
+// fn runs concurrently on distinct indices across Workers, so it must be
+// safe for that, and it must not retain w past its return: w is a pooled
+// world that is redrawn in place. Workers claim one world at a time, which
+// keeps small budgets of expensive worlds spread across every worker.
+// TargetRSE is ignored (there is no per-world statistic to stop on); Ctx
+// is checked before every world, and a cancelled call returns with some
+// worlds never visited.
+func (e Estimator) ForEachWorld(g uncertain.View, fn func(i int, w *uncertain.World)) {
+	e.forEachFixed(g, 1, func(i int, sc *scratch) float64 {
+		fn(i, &sc.world)
+		return 0
+	})
+}
+
+// forEachFixed is forEachSample's fixed-budget loop: Samples worlds, handed
+// to workers in claims of chunk consecutive indices. The estimators claim
+// sampleChunk indices at a time, which makes the atomic claim negligible
+// against cheap per-world work; ForEachWorld claims one.
+func (e Estimator) forEachFixed(g uncertain.View, chunk int, fn func(i int, sc *scratch) float64) obs.Welford {
 	n := e.samples()
 	reg := e.Obs.Registry()
 	sampler := g.Sampler()
@@ -360,7 +389,7 @@ func (e Estimator) forEachSample(g uncertain.View, fn func(i int, sc *scratch) f
 		sc := scratchPool.Get().(*scratch)
 		i := 0
 		for ; i < n; i++ {
-			if i%sampleChunk == 0 && e.cancelled() {
+			if i%chunk == 0 && e.cancelled() {
 				break
 			}
 			draw(e.Seed, sampler, sc, i)
@@ -384,11 +413,11 @@ func (e Estimator) forEachSample(g uncertain.View, fn func(i int, sc *scratch) f
 			var drawn int64
 			var local obs.Welford
 			for !e.cancelled() {
-				start := int(cursor.Add(sampleChunk)) - sampleChunk
+				start := int(cursor.Add(int64(chunk))) - chunk
 				if start >= n {
 					break
 				}
-				end := start + sampleChunk
+				end := start + chunk
 				if end > n {
 					end = n
 				}

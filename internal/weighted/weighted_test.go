@@ -147,6 +147,36 @@ func TestExpectedTravelUncertainReachability(t *testing.T) {
 	}
 }
 
+// TestExpectedTravelParallelMatchesSerial: worlds and Dijkstra sources are
+// keyed by the world index alone, so the worker count cannot change the
+// estimate.
+func TestExpectedTravelParallelMatchesSerial(t *testing.T) {
+	g := uncertain.New(30)
+	rng := randNew(7)
+	for i := 0; i < 80; i++ {
+		u, v := rng.IntN(30), rng.IntN(30)
+		if u != v && g.EdgeIndex(uncertain.NodeID(u), uncertain.NodeID(v)) < 0 {
+			g.MustAddEdge(uncertain.NodeID(u), uncertain.NodeID(v), 0.2+0.7*rng.Float64())
+		}
+	}
+	w := make([]float64, g.NumEdges())
+	for i := range w {
+		w[i] = 1 + 9*rng.Float64()
+	}
+	wg, err := New(g, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial := wg.ExpectedTravel(Options{Samples: 40, Sources: 5, Seed: 3, Workers: 1})
+	parallel := wg.ExpectedTravel(Options{Samples: 40, Sources: 5, Seed: 3, Workers: 8})
+	if serial != parallel {
+		t.Fatalf("ExpectedTravel differs across workers: %+v vs %+v", serial, parallel)
+	}
+	if serial.Reachability <= 0 || serial.Reachability >= 1 {
+		t.Fatalf("reachability = %v, want strictly inside (0,1) on this graph", serial.Reachability)
+	}
+}
+
 func TestExpectedTravelTinyGraph(t *testing.T) {
 	g := uncertain.New(1)
 	wg := Uniform(g)

@@ -54,7 +54,12 @@ echo "== go test -race -count=2 (telemetry, MC workers, CLI runner, job plane) =
 # concurrent submits, cancels and daemon shutdowns. (cmd/chameleond's
 # subprocess tests race in the main pass above and smoke below; they are
 # too heavy to double.)
-go test -race -count=2 ./internal/obs/... ./internal/query/... ./internal/reliability/... ./internal/uncertain/... ./internal/testkit/... ./internal/jobs/... ./cmd/internal/runner/...
+# internal/metrics, internal/centrality and internal/weighted run their
+# per-world callbacks on the reliability engine's workers through
+# Estimator.ForEachWorld, and metrics.DegreeDistribution folds every world
+# into one shared accumulator, so the engine's worker pool races over
+# their code too.
+go test -race -count=2 ./internal/obs/... ./internal/query/... ./internal/reliability/... ./internal/uncertain/... ./internal/testkit/... ./internal/jobs/... ./cmd/internal/runner/... ./internal/metrics/... ./internal/centrality/... ./internal/weighted/...
 
 coverage_floor="${COVERAGE_FLOOR:-78.4}"
 echo "== coverage (floor ${coverage_floor}%) =="
