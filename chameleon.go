@@ -39,10 +39,11 @@ func LoadGraph(path string) (*Graph, error) { return uncertain.LoadFile(path) }
 // SaveGraph writes a graph in the TSV format accepted by LoadGraph.
 func SaveGraph(path string, g *Graph) error { return uncertain.SaveFile(path, g) }
 
-// SaveGraphBinary writes a graph in the compact binary format; LoadGraph
-// auto-detects it on read. Prefer it for large graphs (~5x smaller and
-// much faster to parse than TSV).
-func SaveGraphBinary(path string, g *Graph) error { return uncertain.SaveBinaryFile(path, g) }
+// SaveGraphBinary writes a graph in the sectioned v2 binary format, which
+// is lossless (probabilities off its 16-bit grid keep their exact float64
+// bits); LoadGraph auto-detects it on read. Prefer it for large graphs:
+// it is several times smaller and much faster to parse than TSV.
+func SaveGraphBinary(path string, g *Graph) error { return uncertain.SaveBinaryV2File(path, g) }
 
 // ReadGraph parses a graph from a reader in TSV format.
 func ReadGraph(r io.Reader) (*Graph, error) { return uncertain.ReadTSV(r) }

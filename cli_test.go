@@ -240,7 +240,7 @@ func TestCLIPipeline(t *testing.T) {
 	// Binary output format round-trips through the tools.
 	binGraph := filepath.Join(dir, "g.bin")
 	run("genug", "-topology", "er", "-nodes", "60", "-edges", "120",
-		"-seed", "4", "-binary", "-o", binGraph)
+		"-seed", "4", "-format", "v2", "-o", binGraph)
 	statsBin := run("ugstat", "-g", binGraph, "-metric-samples", "3")
 	if !strings.Contains(statsBin, "nodes") {
 		t.Fatalf("ugstat on binary graph:\n%s", statsBin)
@@ -262,6 +262,12 @@ func TestCLIPipeline(t *testing.T) {
 	// Unknown dataset is rejected.
 	if err := exec.Command(bins["genug"], "-dataset", "bogus").Run(); err == nil {
 		t.Fatal("genug with unknown dataset should fail")
+	}
+	// v1 is read-only: asking genug to write it is a usage error (exit 2).
+	err = exec.Command(bins["genug"], "-format", "v1", "-o", filepath.Join(dir, "g.v1")).Run()
+	var usage *exec.ExitError
+	if !errors.As(err, &usage) || usage.ExitCode() != 2 {
+		t.Fatalf("genug -format v1: want exit 2, got %v", err)
 	}
 }
 

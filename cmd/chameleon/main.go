@@ -50,7 +50,7 @@ func main() {
 		maxSmp    = flag.Int("max-samples", 0, "cap on adaptive sampling (0 = package default; requires -target-rse)")
 		seed      = flag.Uint64("seed", 1, "random seed")
 		workers   = flag.Int("workers", 0, "Monte Carlo sampling parallelism (0 = all cores)")
-		binaryF   = flag.Bool("binary", false, "write the compact binary format instead of TSV")
+		binaryF   = flag.Bool("binary", false, "write the sectioned v2 binary format instead of TSV")
 		quiet     = flag.Bool("q", false, "suppress the summary on stderr")
 		verbose   = flag.Bool("v", false, "log structured progress to stderr")
 		stats     = flag.String("stats", "", "dump the final metrics snapshot: a path writes JSON, '-' writes text to stderr")

@@ -176,7 +176,7 @@ func fetchResultCanonical(t *testing.T, d *daemon, id string) []byte {
 		t.Fatalf("result does not decode: %v", err)
 	}
 	var buf bytes.Buffer
-	if err := uncertain.WriteBinary(&buf, g); err != nil {
+	if err := uncertain.WriteBinaryV2(&buf, g); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

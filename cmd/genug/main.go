@@ -6,7 +6,12 @@
 //	genug -dataset dblp-s -seed 7 -o dblp.tsv
 //	genug -topology ba -nodes 1000 -degree 3 -probs uniform -o g.tsv
 //	genug -topology er -nodes 500 -edges 2000 -probs small -o g.tsv
+//	genug -topology ba -nodes 20000 -degree 3 -format v2 -o g.ug2
 //	genug -topology er -nodes 1000000 -edges 10000000 -format v2 -stream -o big.ug2
+//
+// -format picks tsv (the default) or v2, the sectioned binary format. The
+// legacy v1 binary format is read-only: every reader still loads it, but
+// nothing writes it.
 package main
 
 import (
@@ -35,8 +40,7 @@ func main() {
 		probs    = flag.String("probs", "uniform", "probability profile: uniform | small | discrete")
 		seed     = flag.Uint64("seed", 1, "random seed")
 		out      = flag.String("o", "", "output file (default stdout)")
-		binaryF  = flag.Bool("binary", false, "shorthand for -format v1 (kept for compatibility)")
-		format   = flag.String("format", "", "output format: tsv | v1 | v2 (default tsv; v1 = legacy binary triples, v2 = sectioned binary)")
+		format   = flag.String("format", "tsv", "output format: tsv | v2 (v2 = sectioned binary; the legacy v1 format is read-only)")
 		stream   = flag.Bool("stream", false, "stream straight to disk without materializing the graph (er topology, v2 format only)")
 	)
 	flag.Parse()
@@ -45,7 +49,7 @@ func main() {
 		dataset: *dataset, topology: *topology,
 		nodes: *nodes, edges: *edges, degree: *degree, blocks: *blocks,
 		pin: *pin, pout: *pout, probs: *probs, seed: *seed,
-		out: *out, binaryF: *binaryF, format: *format, stream: *stream,
+		out: *out, format: *format, stream: *stream,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "genug:", err)
@@ -64,33 +68,14 @@ type config struct {
 	probs                string
 	seed                 uint64
 	out                  string
-	binaryF              bool
 	format               string
 	stream               bool
 }
 
-// resolveFormat merges the -format flag with the legacy -binary shorthand.
-func resolveFormat(format string, binaryF bool) (string, error) {
-	switch format {
-	case "":
-		if binaryF {
-			return "v1", nil
-		}
-		return "tsv", nil
-	case "tsv", "v1", "v2":
-		if binaryF && format == "tsv" {
-			return "", runner.Usagef("-binary conflicts with -format tsv")
-		}
-		return format, nil
-	default:
-		return "", runner.Usagef("unknown format %q (want tsv, v1 or v2)", format)
-	}
-}
-
 func run(c config) error {
-	format, err := resolveFormat(c.format, c.binaryF)
-	if err != nil {
-		return err
+	format := c.format
+	if format != "tsv" && format != "v2" {
+		return runner.Usagef("unknown format %q (want tsv or v2; v1 is read-only)", format)
 	}
 
 	if c.stream {
@@ -131,20 +116,13 @@ func run(c config) error {
 		return err
 	}
 	if c.out == "" {
-		switch format {
-		case "v1":
-			return uncertain.WriteBinary(os.Stdout, g)
-		case "v2":
+		if format == "v2" {
 			return uncertain.WriteBinaryV2(os.Stdout, g)
-		default:
-			return uncertain.WriteTSV(os.Stdout, g)
 		}
+		return uncertain.WriteTSV(os.Stdout, g)
 	}
 	save := uncertain.SaveFile
-	switch format {
-	case "v1":
-		save = uncertain.SaveBinaryFile
-	case "v2":
+	if format == "v2" {
 		save = uncertain.SaveBinaryV2File
 	}
 	if err := save(c.out, g); err != nil {

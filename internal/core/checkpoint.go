@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"os"
 
 	"chameleon/internal/atomicfile"
@@ -53,9 +55,10 @@ type CheckpointStep struct {
 //   - the search cursor (phase, σ bracket, doubling count, RNG stream
 //     position Seq, call/attempt totals);
 //   - the best obfuscation found so far, with the graph embedded in the
-//     exact binary format (float64 bit patterns preserved), so a resumed
-//     run finishing from this state is bit-identical to an uninterrupted
-//     one.
+//     v2 binary format (lossless: float64 bit patterns preserved), so a
+//     resumed run finishing from this state is bit-identical to an
+//     uninterrupted one. Checkpoints written by earlier builds embed v1;
+//     the reader decodes either.
 //
 // Everything is plain JSON: floats survive encoding/json round-trips
 // bit-exactly, and BestGraph marshals as base64.
@@ -97,13 +100,29 @@ type Checkpoint struct {
 	Steps []CheckpointStep `json:"steps"`
 }
 
-// GraphHash fingerprints a graph through its canonical binary encoding
-// (sorted edges, exact float64 bits), so any difference in topology or
-// probabilities — however small — changes the hash.
+// GraphHash fingerprints a graph by streaming a canonical edge record
+// into FNV-64a: a 16-byte header (the binary container's "UGRG" magic,
+// the layout word 1, n and m, each a little-endian uint32), then 16 bytes
+// per edge in sorted order (u and v as uint32, the probability's exact
+// float64 bits). Any difference in topology or probabilities — however
+// small — changes the hash. The bytes are those of the legacy v1 file
+// encoding, so hashes recorded by earlier builds (in checkpoints on disk,
+// in benchmark reports) stay valid.
 func GraphHash(g *uncertain.Graph) uint64 {
 	h := fnv.New64a()
-	// WriteBinary to a hash.Hash cannot fail: the hasher never errors.
-	_ = uncertain.WriteBinary(h, g)
+	var rec [16]byte
+	le := binary.LittleEndian
+	le.PutUint32(rec[0:], 0x55475247) // "UGRG"
+	le.PutUint32(rec[4:], 1)
+	le.PutUint32(rec[8:], uint32(g.NumNodes()))
+	le.PutUint32(rec[12:], uint32(g.NumEdges()))
+	h.Write(rec[:])
+	for _, e := range g.SortedEdges() {
+		le.PutUint32(rec[0:], uint32(e.U))
+		le.PutUint32(rec[4:], uint32(e.V))
+		le.PutUint64(rec[8:], math.Float64bits(e.P))
+		h.Write(rec[:])
+	}
 	return h.Sum64()
 }
 
@@ -271,7 +290,7 @@ func (st *searchState) checkpoint(cur *searchCursor, res *Result) (*Checkpoint, 
 	}
 	if cur.best.graph != nil {
 		var buf bytes.Buffer
-		if err := uncertain.WriteBinary(&buf, cur.best.graph); err != nil {
+		if err := uncertain.WriteBinaryV2(&buf, cur.best.graph); err != nil {
 			return nil, fmt.Errorf("core: encoding best graph for checkpoint: %w", err)
 		}
 		ck.BestGraph = buf.Bytes()

@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -52,7 +54,7 @@ func ckParams(path string) Params {
 func encodeGraph(t *testing.T, g *uncertain.Graph) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := uncertain.WriteBinary(&buf, g); err != nil {
+	if err := uncertain.WriteBinaryV2(&buf, g); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -243,5 +245,86 @@ func TestGraphHashSensitivity(t *testing.T) {
 	}
 	if GraphHash(mod) == h1 {
 		t.Fatal("probability change must change the hash")
+	}
+
+	ulp := g.Clone()
+	if err := ulp.SetProb(3, math.Nextafter(ulp.Edge(3).P, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if GraphHash(ulp) == h1 {
+		t.Fatal("a one-ulp probability change must change the hash")
+	}
+
+	grown := g.Clone()
+	for v := uncertain.NodeID(1); ; v++ {
+		if !grown.HasEdge(0, v) {
+			grown.MustAddEdge(0, v, 0.5)
+			break
+		}
+	}
+	if GraphHash(grown) == h1 {
+		t.Fatal("adding an edge must change the hash")
+	}
+}
+
+// TestGraphHashPinned pins GraphHash to the values earlier builds
+// computed by hashing the v1 file encoding. Checkpoints on disk and
+// benchmark reports record these hashes, so the canonical edge stream must
+// reproduce them exactly.
+func TestGraphHashPinned(t *testing.T) {
+	small := uncertain.New(6)
+	small.MustAddEdge(0, 1, 0.5)
+	small.MustAddEdge(0, 3, 1)
+	small.MustAddEdge(1, 2, 0.123456789)
+	small.MustAddEdge(2, 5, 1e-9)
+	small.MustAddEdge(3, 4, 0.7071067811865476)
+	for _, c := range []struct {
+		name string
+		g    *uncertain.Graph
+		want uint64
+	}{
+		{"5 edges", small, 0x73df980d79780e23},
+		{"250-node test graph", testGraph(t, 5), 0x3783a6666e6df4dc},
+	} {
+		if got := GraphHash(c.g); got != c.want {
+			t.Errorf("%s: GraphHash = %#x, want %#x", c.name, got, c.want)
+		}
+	}
+}
+
+// TestResumeFromLegacyV1Checkpoint: testdata/legacy_v1_checkpoint.json
+// was written by an earlier build, which embedded the best graph as v1,
+// interrupted mid-bisection (ckParams on testGraph(5), context poll limit
+// 45). Resuming from it must still finish bit-identically to an
+// uninterrupted run.
+func TestResumeFromLegacyV1Checkpoint(t *testing.T) {
+	g := testGraph(t, 5)
+	full, err := Anonymize(g, ckParams(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := LoadCheckpoint("testdata/legacy_v1_checkpoint.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ck.BestGraph) < 8 || binary.LittleEndian.Uint32(ck.BestGraph[4:]) != 1 {
+		t.Fatal("the fixture's best_graph is not a v1 encoding")
+	}
+	p := ckParams("")
+	p.Resume = ck
+	resumed, err := AnonymizeContext(context.Background(), g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.Sigma != full.Sigma || resumed.EpsilonTilde != full.EpsilonTilde {
+		t.Errorf("resumed (sigma=%v, eps~=%v) != full (sigma=%v, eps~=%v)",
+			resumed.Sigma, resumed.EpsilonTilde, full.Sigma, full.EpsilonTilde)
+	}
+	if resumed.GenObfCalls != full.GenObfCalls || resumed.Attempts != full.Attempts {
+		t.Errorf("resumed effort (%d calls, %d attempts) != full (%d, %d)",
+			resumed.GenObfCalls, resumed.Attempts, full.GenObfCalls, full.Attempts)
+	}
+	if !bytes.Equal(encodeGraph(t, resumed.Graph), encodeGraph(t, full.Graph)) {
+		t.Error("resumed graph bytes differ from the uninterrupted run")
 	}
 }

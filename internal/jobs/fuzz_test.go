@@ -22,16 +22,14 @@ func FuzzJobRequest(f *testing.F) {
 	f.Add("text/plain", []byte("not a submission"))
 	f.Add("", []byte{})
 
-	// Multipart seeds: a well-formed submission with a TSV graph, one
-	// with a v2 binary graph, and a truncated binary upload.
+	// Multipart seeds: well-formed submissions with a TSV, a legacy v1
+	// and a v2 binary graph, and truncated binary uploads.
 	g := uncertain.New(4)
 	g.MustAddEdge(0, 1, 0.5)
 	g.MustAddEdge(1, 2, 0.25)
 	g.MustAddEdge(2, 3, 1)
-	var v1, v2 bytes.Buffer
-	if err := uncertain.WriteBinary(&v1, g); err != nil {
-		f.Fatal(err)
-	}
+	v1 := v1Bytes(g)
+	var v2 bytes.Buffer
 	if err := uncertain.WriteBinaryV2(&v2, g); err != nil {
 		f.Fatal(err)
 	}
@@ -52,10 +50,10 @@ func FuzzJobRequest(f *testing.F) {
 	specJSON := []byte(`{"k": 2, "eps": 0.1}`)
 	for _, graph := range [][]byte{
 		[]byte("4\n0\t1\t0.5\n"),
-		v1.Bytes(),
+		v1,
 		v2.Bytes(),
 		v2.Bytes()[:len(v2.Bytes())/2], // truncated v2 container
-		v1.Bytes()[:6],                 // magic but no header
+		v1[:6],                         // magic but no header
 	} {
 		ct, body := part(specJSON, graph)
 		f.Add(ct, body)
@@ -87,7 +85,7 @@ func FuzzJobRequest(f *testing.F) {
 			// The decoded graph must be internally consistent enough to
 			// serialize — a corrupted accepted graph would poison the spool.
 			var buf bytes.Buffer
-			if werr := uncertain.WriteBinary(&buf, g); werr != nil {
+			if werr := uncertain.WriteBinaryV2(&buf, g); werr != nil {
 				t.Fatalf("admitted graph does not re-serialize: %v", werr)
 			}
 		} else if spec.GraphPath == "" {

@@ -18,14 +18,12 @@ import (
 	"chameleon/internal/uncertain"
 )
 
-// postJob submits a multipart job through the test server.
+// postJob submits a multipart job through the test server. The graph goes
+// up in the legacy v1 encoding, which the daemon must keep accepting from
+// older clients.
 func postJob(t *testing.T, url string, spec string, g *uncertain.Graph) *http.Response {
 	t.Helper()
-	var gbuf bytes.Buffer
-	if err := uncertain.WriteBinary(&gbuf, g); err != nil {
-		t.Fatal(err)
-	}
-	ct, body := multipartBody(t, []byte(spec), gbuf.Bytes())
+	ct, body := multipartBody(t, []byte(spec), v1Bytes(g))
 	resp, err := http.Post(url+"/jobs", ct, body)
 	if err != nil {
 		t.Fatal(err)
@@ -117,8 +115,8 @@ func TestAPIEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	var a, b bytes.Buffer
-	uncertain.WriteBinary(&a, fetched)
-	uncertain.WriteBinary(&b, spooled)
+	uncertain.WriteBinaryV2(&a, fetched)
+	uncertain.WriteBinaryV2(&b, spooled)
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("fetched result differs from the spooled result")
 	}
@@ -177,7 +175,7 @@ func TestAPIEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	var c bytes.Buffer
-	uncertain.WriteBinary(&c, viaPath)
+	uncertain.WriteBinaryV2(&c, viaPath)
 	if !bytes.Equal(a.Bytes(), c.Bytes()) {
 		t.Fatal("JSON-route result differs from the multipart-route result")
 	}

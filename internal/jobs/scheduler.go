@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"runtime"
 	"sort"
@@ -442,9 +443,10 @@ func (m *Manager) runJob(t *tracked) {
 
 // anonymize loads the job's durable input, hands any surviving
 // checkpoint to the σ-search, and runs it under the job's context. A
-// checkpoint that no longer matches (ErrCheckpointMismatch — e.g. a
-// spool hand-edited between daemon lives) is discarded and the job
-// reruns from scratch rather than failing.
+// checkpoint that cannot be loaded (torn, unknown version or phase) or no
+// longer matches (ErrCheckpointMismatch — e.g. a spool hand-edited
+// between daemon lives) is discarded with a checkpoint-discarded event,
+// and the job reruns from scratch rather than failing.
 func (m *Manager) anonymize(ctx context.Context, t *tracked, job Job) (*core.Result, error) {
 	g, err := m.cfg.Store.LoadInput(job.ID)
 	if err != nil {
@@ -454,19 +456,28 @@ func (m *Manager) anonymize(ctx context.Context, t *tracked, job Job) (*core.Res
 	if err != nil {
 		return nil, err
 	}
-	ckptPath := m.cfg.Store.CheckpointPath(job.ID)
-	if ck, lerr := core.LoadCheckpoint(ckptPath); lerr == nil {
+	ck, lerr := core.LoadCheckpoint(params.CheckpointPath)
+	switch {
+	case lerr == nil:
 		params.Resume = ck
+	case !errors.Is(lerr, fs.ErrNotExist):
+		m.discardCheckpoint(job.ID, lerr)
 	}
 
 	res, err := runVariant(ctx, g, job.Spec.Method, params)
 	if err != nil && errors.Is(err, core.ErrCheckpointMismatch) && params.Resume != nil {
-		m.cfg.Obs.Log("jobs: discarding stale checkpoint", "id", job.ID, "error", err.Error())
-		m.cfg.Store.Event(time.Now(), job.ID, "checkpoint-discarded", err.Error())
+		m.discardCheckpoint(job.ID, err)
 		params.Resume = nil
 		res, err = runVariant(ctx, g, job.Spec.Method, params)
 	}
 	return res, err
+}
+
+// discardCheckpoint logs and journals a checkpoint the job will not
+// resume from.
+func (m *Manager) discardCheckpoint(id string, err error) {
+	m.cfg.Obs.Log("jobs: discarding checkpoint", "id", id, "error", err.Error())
+	m.cfg.Store.Event(time.Now(), id, "checkpoint-discarded", err.Error())
 }
 
 // coreParams maps a job spec onto the search parameterization, wiring

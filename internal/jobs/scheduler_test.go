@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -86,7 +88,7 @@ func TestManagerLifecycleDeterminism(t *testing.T) {
 	}
 
 	// Direct engine run on the job's durable input (the spool stores the
-	// v1 canonical encoding, whose sorted edge order is what the search
+	// v2 canonical encoding, whose sorted edge order is what the search
 	// actually iterated), same parameters and worker budget.
 	durable, err := st.LoadInput(job.ID)
 	if err != nil {
@@ -104,10 +106,10 @@ func TestManagerLifecycleDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	var a, b bytes.Buffer
-	if err := uncertain.WriteBinary(&a, viaJobs); err != nil {
+	if err := uncertain.WriteBinaryV2(&a, viaJobs); err != nil {
 		t.Fatal(err)
 	}
-	if err := uncertain.WriteBinary(&b, direct.Graph); err != nil {
+	if err := uncertain.WriteBinaryV2(&b, direct.Graph); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -176,6 +178,148 @@ func TestManagerRecovery(t *testing.T) {
 	if _, err := uncertain.LoadFile(st2.ResultPath(job.ID)); err != nil {
 		t.Fatalf("recovered job has no readable result: %v", err)
 	}
+}
+
+// crashedSpool admits one job into a fresh spool and leaves it as a
+// SIGKILLed daemon would: marked running, store closed. It returns the
+// spool directory and the job.
+func crashedSpool(t *testing.T, spec Spec, g *uncertain.Graph) (string, *Job) {
+	t.Helper()
+	dir := t.TempDir()
+	st, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := st.Create(spec, g, time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	job.State = StateRunning
+	if err := st.Persist(job); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	return dir, job
+}
+
+// restartSpool starts a one-worker manager over a crashed spool, waits for
+// the recovered job to finish done, and returns the store for inspection.
+func restartSpool(t *testing.T, dir, id string) *Store {
+	t.Helper()
+	st, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(Config{Store: st, MaxConcurrent: 1, WorkersPerJob: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(func() {
+		cancel()
+		m.Wait()
+		st.Close()
+	})
+	if recovered, err := m.Start(ctx); err != nil || recovered != 1 {
+		t.Fatalf("Start recovered %d jobs (err %v), want 1", recovered, err)
+	}
+	waitDone(t, m, id)
+	stt, err := m.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stt.State != StateDone {
+		t.Fatalf("recovered job finished %s (%s), want done", stt.State, stt.Job.Error)
+	}
+	return st
+}
+
+// assertDirectRunBytes checks a finished job's spooled result is
+// bit-identical to a one-worker engine run on its durable input — the
+// result an uninterrupted run produces.
+func assertDirectRunBytes(t *testing.T, st *Store, id string, spec Spec) {
+	t.Helper()
+	durable, err := st.LoadInput(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := core.AnonymizeContext(context.Background(), durable, core.Params{
+		K: spec.K, Epsilon: spec.Epsilon, Samples: spec.Samples, Seed: spec.Seed,
+		Workers: 1, Variant: core.RSME,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaJobs, err := uncertain.LoadFile(st.ResultPath(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a, b bytes.Buffer
+	if err := uncertain.WriteBinaryV2(&a, viaJobs); err != nil {
+		t.Fatal(err)
+	}
+	if err := uncertain.WriteBinaryV2(&b, direct.Graph); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("recovered result differs from an uninterrupted run (%d vs %d bytes)", a.Len(), b.Len())
+	}
+}
+
+// TestManagerDiscardsUnreadableCheckpoint: a checkpoint LoadCheckpoint
+// rejects — torn JSON, an unknown format version, an unknown search phase
+// — must not be dropped silently. The job journals checkpoint-discarded
+// with the load error and reruns from scratch to the same bytes as an
+// uninterrupted run.
+func TestManagerDiscardsUnreadableCheckpoint(t *testing.T) {
+	spec := Spec{K: 3, Epsilon: 0.05, Samples: 40, Seed: 2}
+	cases := map[string]string{
+		"torn":          `torn{`,
+		"bad version":   fmt.Sprintf(`{"version": %d, "phase": "bisection"}`, core.CheckpointVersion+1),
+		"unknown phase": fmt.Sprintf(`{"version": %d, "phase": "warp"}`, core.CheckpointVersion),
+	}
+	for name, garbage := range cases {
+		t.Run(name, func(t *testing.T) {
+			dir, job := crashedSpool(t, spec, testGraph(t, 40, 4))
+			ckPath := filepath.Join(dir, job.ID, checkpointFile)
+			if err := os.WriteFile(ckPath, []byte(garbage), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			st := restartSpool(t, dir, job.ID)
+			evs, err := ReadEvents(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			discarded := false
+			for _, ev := range evs {
+				if ev.JobID == job.ID && ev.Event == "checkpoint-discarded" && ev.Detail != "" {
+					discarded = true
+				}
+			}
+			if !discarded {
+				t.Fatalf("no checkpoint-discarded event for %s in %+v", job.ID, evs)
+			}
+			assertDirectRunBytes(t, st, job.ID, spec)
+		})
+	}
+}
+
+// TestManagerRecoversV1Spool: spools written by earlier builds hold the
+// input graph in the legacy v1 encoding. Such a job must still recover,
+// decode its input to the submitted graph, and complete bit-identically.
+func TestManagerRecoversV1Spool(t *testing.T) {
+	spec := Spec{K: 3, Epsilon: 0.05, Samples: 40, Seed: 2}
+	g := testGraph(t, 40, 4)
+	dir, job := crashedSpool(t, spec, g)
+	if err := os.WriteFile(filepath.Join(dir, job.ID, inputFile), v1Bytes(g), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st := restartSpool(t, dir, job.ID)
+	durable, err := st.LoadInput(job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !durable.Equal(g) {
+		t.Fatal("v1 spool input decoded to a different graph")
+	}
+	assertDirectRunBytes(t, st, job.ID, spec)
 }
 
 // TestManagerAdmissionControl drives the admission gates with a blocked

@@ -138,9 +138,11 @@ func (s *Store) ResultPath(id string) string     { return filepath.Join(s.jobDir
 func (s *Store) CheckpointPath(id string) string { return filepath.Join(s.jobDir(id), checkpointFile) }
 
 // Create admits a new job: it allocates the job directory, persists the
-// input graph in the exact v1 binary encoding (float64 bit patterns
+// input graph in the v2 binary encoding (lossless: float64 bit patterns
 // preserved — the checkpoint machinery hashes this graph, so the stored
 // bytes must reproduce it exactly) and writes the initial queued record.
+// Spools written by earlier builds hold a v1 input.ug; LoadInput reads
+// either.
 func (s *Store) Create(spec Spec, g *uncertain.Graph, now time.Time) (*Job, error) {
 	job := &Job{
 		ID:          newJobID(now),
@@ -155,7 +157,7 @@ func (s *Store) Create(spec Spec, g *uncertain.Graph, now time.Time) (*Job, erro
 		return nil, fmt.Errorf("jobs: creating job dir: %w", err)
 	}
 	var buf bytes.Buffer
-	if err := uncertain.WriteBinary(&buf, g); err != nil {
+	if err := uncertain.WriteBinaryV2(&buf, g); err != nil {
 		return nil, fmt.Errorf("jobs: encoding input graph: %w", err)
 	}
 	if err := atomicfile.Write(s.InputPath(job.ID), buf.Bytes()); err != nil {

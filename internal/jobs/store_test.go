@@ -1,6 +1,8 @@
 package jobs
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -19,6 +21,24 @@ func testGraph(t *testing.T, nodes int, seed uint64) *uncertain.Graph {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// v1Bytes hand-encodes g in the legacy v1 binary layout — magic, version
+// 1, n and m, then (u, v, float64 bits) per edge in sorted order, all
+// little-endian — which uploads and spools from earlier builds hold.
+// Nothing in the program writes v1 any more; the readers still must.
+func v1Bytes(g *uncertain.Graph) []byte {
+	le := binary.LittleEndian
+	b := le.AppendUint32(nil, 0x55475247) // "UGRG"
+	b = le.AppendUint32(b, 1)
+	b = le.AppendUint32(b, uint32(g.NumNodes()))
+	b = le.AppendUint32(b, uint32(g.NumEdges()))
+	for _, e := range g.SortedEdges() {
+		b = le.AppendUint32(b, uint32(e.U))
+		b = le.AppendUint32(b, uint32(e.V))
+		b = le.AppendUint64(b, math.Float64bits(e.P))
+	}
+	return b
 }
 
 func TestStoreCreatePersistRecover(t *testing.T) {

@@ -198,7 +198,6 @@ func TestLabelKeyCoversSamplingTuple(t *testing.T) {
 	g := randomGraph(77, 20, 40)
 	base := Estimator{Samples: 100, Seed: 1}
 	variants := []Estimator{
-		{Samples: 100, Seed: 1, FastSampling: true},
 		{Samples: 100, Seed: 1, Mode: uncertain.SampleAntithetic},
 		{Samples: 100, Seed: 1, Mode: uncertain.SampleStratified},
 		{Samples: 100, Seed: 1, Mode: uncertain.SampleCoupled},

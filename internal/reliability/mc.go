@@ -62,13 +62,6 @@ type Estimator struct {
 	// estimator calls, keyed by (graph identity, graph version, samples,
 	// seed, sampling mode). Safe to share between estimators.
 	Cache *LabelCache
-	// FastSampling switches world drawing to geometric-skip sampling of
-	// low-probability edge classes. Same world distribution, different
-	// world stream for a given seed: still deterministic, but estimates no
-	// longer replay bit-for-bit against the default sampler. It applies to
-	// the independent and antithetic modes; the hashed modes (stratified,
-	// coupled) have no stream to skip along and ignore it.
-	FastSampling bool
 	// Mode selects the world-drawing strategy (default
 	// uncertain.SampleIndependent). All modes share per-world marginals;
 	// the variance-reduced ones change how worlds relate to each other
@@ -218,11 +211,6 @@ func drawIndependent(seed uint64, s *uncertain.WorldSampler, sc *scratch, i int)
 	s.SampleInto(&sc.world, &sc.pcg)
 }
 
-func drawIndependentGeom(seed uint64, s *uncertain.WorldSampler, sc *scratch, i int) {
-	sc.pcg.Seed(seed, uint64(i)*0x9e3779b97f4a7c15+0x2545f4914f6cdd1d)
-	s.SampleIntoGeometric(&sc.world, &sc.pcg)
-}
-
 // Antithetic pairing: indices 2j and 2j+1 re-seed the SAME stream (keyed
 // by the pair index j), the odd one drawing complemented uniforms. Pairs
 // never straddle chunk boundaries (sampleChunk is even), and each index
@@ -231,11 +219,6 @@ func drawIndependentGeom(seed uint64, s *uncertain.WorldSampler, sc *scratch, i 
 func drawAntithetic(seed uint64, s *uncertain.WorldSampler, sc *scratch, i int) {
 	sc.pcg.Seed(seed, uint64(i>>1)*0x9e3779b97f4a7c15+0x2545f4914f6cdd1d)
 	s.SampleIntoAntithetic(&sc.world, &sc.pcg, i&1 == 1)
-}
-
-func drawAntitheticGeom(seed uint64, s *uncertain.WorldSampler, sc *scratch, i int) {
-	sc.pcg.Seed(seed, uint64(i>>1)*0x9e3779b97f4a7c15+0x2545f4914f6cdd1d)
-	s.SampleIntoGeometricAntithetic(&sc.world, &sc.pcg, i&1 == 1)
 }
 
 func drawStratified(seed uint64, s *uncertain.WorldSampler, sc *scratch, i int) {
@@ -254,18 +237,12 @@ func drawCoupled(seed uint64, s *uncertain.WorldSampler, sc *scratch, i int) {
 func (e Estimator) drawFn() drawFunc {
 	switch e.Mode {
 	case uncertain.SampleAntithetic:
-		if e.FastSampling {
-			return drawAntitheticGeom
-		}
 		return drawAntithetic
 	case uncertain.SampleStratified:
 		return drawStratified
 	case uncertain.SampleCoupled:
 		return drawCoupled
 	default:
-		if e.FastSampling {
-			return drawIndependentGeom
-		}
 		return drawIndependent
 	}
 }
@@ -349,9 +326,9 @@ func (e Estimator) forEachSample(g uncertain.View, fn func(i int, sc *scratch) f
 
 // ForEachWorld calls fn(i, w) for each of the Samples possible worlds of g,
 // w holding world i: the same world every estimator in this package draws
-// at index i for this Seed, Mode and FastSampling. It is the one
-// possible-world loop behind every Monte Carlo statistic that is not a
-// reliability (degree, distance, clustering, betweenness, travel cost).
+// at index i for this Seed and Mode. It is the one possible-world loop
+// behind every Monte Carlo statistic that is not a reliability (degree,
+// distance, clustering, betweenness, travel cost).
 //
 // fn runs concurrently on distinct indices across Workers, so it must be
 // safe for that, and it must not retain w past its return: w is a pooled

@@ -10,9 +10,8 @@ import (
 
 // DifferentialOracle cross-checks the three reliability engines on one
 // corpus graph: exact enumeration (internal/exact) gives the truth, and
-// both the production bitset Monte Carlo engine (internal/reliability,
-// default and FastSampling world streams) and the independent naive BFS
-// engine (NaiveEstimator) must land within Z standard errors of it, with
+// both the production bitset Monte Carlo engine (internal/reliability)
+// and the independent naive BFS engine (NaiveEstimator) must land within Z standard errors of it, with
 // every tolerance derived from the exact per-world moments. It returns
 // one error per violated assertion; an empty slice means the engines
 // agree on reliability, connected pairs, Delta-discrepancy and ERR.
@@ -31,7 +30,6 @@ func DifferentialOracle(cg CorpusGraph, samples int, seed uint64) []error {
 	}
 
 	bitset := reliability.Estimator{Samples: samples, Seed: seed}
-	fast := reliability.Estimator{Samples: samples, Seed: seed, FastSampling: true}
 	naive := NaiveEstimator{Samples: samples, Seed: seed}
 
 	// Pair reliability: the full matrix from each Monte Carlo engine
@@ -64,7 +62,6 @@ func DifferentialOracle(cg CorpusGraph, samples int, seed uint64) []error {
 	// Expected connected pairs: mean of cc(W), exact variance known.
 	ccTol := MeanTol(mo.CCVar, samples)
 	fail(CheckClose("bitset E[cc]", bitset.ExpectedConnectedPairs(g), mo.CCMean, ccTol))
-	fail(CheckClose("fast E[cc]", fast.ExpectedConnectedPairs(g), mo.CCMean, ccTol))
 	fail(CheckClose("naive E[cc]", naive.ExpectedConnectedPairs(g), mo.CCMean, ccTol))
 
 	// Delta-discrepancy against a deterministically perturbed sibling.

@@ -50,13 +50,10 @@ func ModeOracle(cg CorpusGraph, samples int, seed uint64, mode uncertain.Samplin
 		}
 	}
 
-	// Expected connected pairs, threshold and geometric-skip world streams.
+	// Expected connected pairs.
 	ccTol := MeanTol(mo.CCVar, samples)
 	gotCC := est.ExpectedConnectedPairs(g)
 	fail(CheckClose("E[cc]", gotCC, mo.CCMean, ccTol))
-	fast := est
-	fast.FastSampling = true
-	fail(CheckClose("fast E[cc]", fast.ExpectedConnectedPairs(g), mo.CCMean, ccTol))
 
 	// Delta-discrepancy against the deterministic perturbed sibling. Under
 	// the coupled mode the two graphs share every uniform, so the estimate

@@ -98,14 +98,16 @@ func Corpus() []CorpusGraph {
 }
 
 // SamplingCorpus returns graphs for distribution-level sampler tests.
-// They are too large for exact enumeration but deliberately trigger every
-// sampling path, in particular the geometric-skip classes (>= 16 edges
-// sharing one low probability) that FastSampling uses.
+// They are too large for exact enumeration but cover every per-edge case
+// of the world kernels: long runs of edges sharing one low probability,
+// mid-range draws, and certain and impossible edges that consume no
+// randomness.
 func SamplingCorpus() []CorpusGraph {
 	out := Corpus()
 
-	// A 40-edge graph holding two geometric-skip classes (20 edges at
-	// p=0.05, 16 at p=0.2), a dense remainder, and certain edges.
+	// A ring-chord graph holding two low-probability runs (20 edges at
+	// p=0.05, 16 at p=0.2), a mid-range remainder, and one certain and one
+	// impossible edge.
 	g := uncertain.New(30)
 	id := 0
 	add := func(p float64) {

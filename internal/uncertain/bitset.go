@@ -71,14 +71,13 @@ func (b Bitset) Mask(n int) []bool {
 	return mask
 }
 
-// grow returns a bitset backed by b with capacity for exactly n bits,
-// reusing b's storage when large enough. All words are zeroed.
+// grow returns a bitset backed by b with room for exactly n bits, reusing
+// b's storage when large enough. The words' contents are unspecified: the
+// world kernels overwrite every one.
 func (b Bitset) grow(n int) Bitset {
 	words := bitsetWords(n)
 	if cap(b) < words {
 		return make(Bitset, words)
 	}
-	b = b[:words]
-	b.Reset()
-	return b
+	return b[:words]
 }

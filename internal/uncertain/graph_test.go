@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-func mustGraph(t *testing.T, n int, edges ...Edge) *Graph {
+func mustGraph(t testing.TB, n int, edges ...Edge) *Graph {
 	t.Helper()
 	g := New(n)
 	for _, e := range edges {

@@ -29,17 +29,14 @@ func fmtBenchData(tb testing.TB) (tsv, v1, v2 []byte) {
 	tb.Helper()
 	fmtBench.once.Do(func() {
 		g := randomV2Graph(tb, 0xF0, fmtBenchNodes, fmtBenchEdges, true)
-		var bTSV, bV1, bV2 bytes.Buffer
+		var bTSV, bV2 bytes.Buffer
 		if err := WriteTSV(&bTSV, g); err != nil {
-			tb.Fatal(err)
-		}
-		if err := WriteBinary(&bV1, g); err != nil {
 			tb.Fatal(err)
 		}
 		if err := WriteBinaryV2(&bV2, g); err != nil {
 			tb.Fatal(err)
 		}
-		fmtBench.tsv, fmtBench.v1, fmtBench.v2 = bTSV.Bytes(), bV1.Bytes(), bV2.Bytes()
+		fmtBench.tsv, fmtBench.v1, fmtBench.v2 = bTSV.Bytes(), v1Bytes(g), bV2.Bytes()
 	})
 	if fmtBench.tsv == nil {
 		tb.Fatal("format benchmark corpus failed to build")

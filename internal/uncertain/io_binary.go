@@ -14,65 +14,24 @@ import (
 // little-endian words — magic then version — followed by a version-specific
 // body.
 //
-// Version 1 body: node count and edge count as uint32, then (u uint32,
-// v uint32, p float64bits) triples in sorted edge order. Roughly 5x smaller
-// and an order of magnitude faster to load than the TSV format.
+// Version 1 body (read-only, kept so files, spools and checkpoints written
+// by earlier builds still load): node count and edge count as uint32, then
+// (u uint32, v uint32, p float64bits) triples in sorted edge order.
 //
 // Version 2 body: the sectioned format of io_v2.go — length-prefixed,
 // checksummed sections carrying delta/varint-coded edges and a quantized
-// probability column. See DESIGN.md §14.
+// probability column. It is the only format the writers emit. See
+// DESIGN.md §14.
 const (
 	binaryMagic     uint32 = 0x55475247 // "UGRG"
 	binaryVersion   uint32 = 1
 	binaryVersionV2 uint32 = 2
 )
 
-// ErrTooLarge is returned by the binary writers when a graph cannot be
-// represented in the on-disk format: more than MaxFileNodes vertices (the
-// readers refuse such headers, so writing them would produce files nothing
-// can load back) or an edge count that does not fit the v1 uint32 field.
+// ErrTooLarge is returned by the binary writers when a graph has more than
+// MaxFileNodes vertices: the readers refuse such headers, so writing them
+// would produce files nothing can load back.
 var ErrTooLarge = errors.New("uncertain: graph too large for binary format")
-
-// checkWritable rejects graphs whose counts the binary formats cannot
-// round-trip. Both versions share the MaxFileNodes cap; v1 additionally
-// needs the edge count to fit its uint32 field, which the cap already
-// implies is the binding constraint only for absurd inputs.
-func checkWritable(n, m int) error {
-	if n > MaxFileNodes {
-		return fmt.Errorf("%w: %d nodes exceeds MaxFileNodes %d", ErrTooLarge, n, MaxFileNodes)
-	}
-	if int64(m) > math.MaxUint32 {
-		return fmt.Errorf("%w: %d edges exceeds uint32", ErrTooLarge, m)
-	}
-	return nil
-}
-
-// WriteBinary serializes g in the version-1 binary format. It refuses
-// graphs the readers would reject (ErrTooLarge) instead of silently
-// truncating the counts through the uint32 header fields.
-func WriteBinary(w io.Writer, g View) error {
-	if err := checkWritable(g.NumNodes(), g.NumEdges()); err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(w)
-	for _, v := range []uint32{binaryMagic, binaryVersion, uint32(g.NumNodes()), uint32(g.NumEdges())} {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	for _, e := range g.SortedEdges() {
-		if err := binary.Write(bw, binary.LittleEndian, uint32(e.U)); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, uint32(e.V)); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, math.Float64bits(e.P)); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
 
 // readBinaryHeader consumes the shared magic + version prefix and returns
 // the version word.
@@ -101,10 +60,10 @@ func requireEOF(br *bufio.Reader) error {
 	return nil
 }
 
-// ReadBinary parses the binary container written by WriteBinary (v1) or
-// WriteBinaryV2, dispatching on the version word and validating every edge.
-// The stream must end cleanly at the end of the graph body; trailing bytes
-// are ErrBadFormat.
+// ReadBinary parses the binary container — a legacy v1 file or one written
+// by WriteBinaryV2 — dispatching on the version word and validating every
+// edge. The stream must end cleanly at the end of the graph body; trailing
+// bytes are ErrBadFormat.
 func ReadBinary(r io.Reader) (*Graph, error) {
 	br := bufio.NewReader(r)
 	version, err := readBinaryHeader(br)
@@ -168,19 +127,6 @@ func readV1Body(br *bufio.Reader) (*Graph, error) {
 		return nil, err
 	}
 	return g, nil
-}
-
-// SaveBinaryFile writes g to path in version-1 binary format.
-func SaveBinaryFile(path string, g View) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteBinary(f, g); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // LoadBinaryFile reads a binary graph (either version) from path.

@@ -2,20 +2,90 @@ package uncertain
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand/v2"
+	"os"
 	"path/filepath"
 	"testing"
 	"testing/quick"
 )
 
-func TestBinaryRoundTrip(t *testing.T) {
-	g := mustGraph(t, 5, Edge{0, 1, 0.5}, Edge{2, 3, 0.125}, Edge{0, 4, 1}, Edge{1, 4, 0})
+// v1Bytes hand-encodes g in the read-only version-1 layout — magic,
+// version, n and m as uint32, then (u uint32, v uint32, p float64 bits)
+// per edge in sorted order — the exact bytes earlier builds wrote. The
+// v1 reader tests decode it; nothing in the program writes v1 any more.
+func v1Bytes(g View) []byte {
 	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
+	writeU32(&buf, binaryMagic, binaryVersion, uint32(g.NumNodes()), uint32(g.NumEdges()))
+	for _, e := range g.SortedEdges() {
+		bits := math.Float64bits(e.P)
+		writeU32(&buf, uint32(e.U), uint32(e.V), uint32(bits), uint32(bits>>32))
+	}
+	return buf.Bytes()
+}
+
+// writeU32 appends little-endian uint32 words to buf.
+func writeU32(buf *bytes.Buffer, words ...uint32) {
+	for _, v := range words {
+		buf.Write(binary.LittleEndian.AppendUint32(nil, v))
+	}
+}
+
+// legacyV1Graph is the graph stored in testdata/legacy_v1.ug, a file
+// written by the retired v1 writer: probabilities off the q16 grid, a
+// certain edge, a near-zero edge and an isolated vertex.
+func legacyV1Graph(t *testing.T) *Graph {
+	return mustGraph(t, 6, Edge{0, 1, 0.5}, Edge{0, 3, 1}, Edge{1, 2, 0.123456789},
+		Edge{2, 5, 1e-9}, Edge{3, 4, 0.7071067811865476})
+}
+
+// TestLegacyV1FileDecodes holds every reader to files earlier builds
+// wrote: ReadBinary, ReadCSR and LoadFile must decode the committed v1
+// fixture to the graph it was written from, and v1Bytes must reproduce
+// the fixture byte for byte (so the hand-built bytes the other v1 tests
+// use are the real layout).
+func TestLegacyV1FileDecodes(t *testing.T) {
+	const path = "testdata/legacy_v1.ug"
+	want := legacyV1Graph(t)
+	data, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := ReadBinary(&buf)
+	if !bytes.Equal(v1Bytes(want), data) {
+		t.Fatal("v1Bytes does not reproduce the legacy v1 fixture")
+	}
+	g, err := ReadBinary(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !want.Equal(g) {
+		t.Fatal("ReadBinary decoded the legacy v1 fixture to a different graph")
+	}
+	c, err := ReadCSR(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := c.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !want.Equal(back) {
+		t.Fatal("ReadCSR decoded the legacy v1 fixture to a different graph")
+	}
+	fromFile, err := LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !want.Equal(fromFile) {
+		t.Fatal("LoadFile decoded the legacy v1 fixture to a different graph")
+	}
+}
+
+func TestBinaryRoundTrip(t *testing.T) {
+	g := mustGraph(t, 5, Edge{0, 1, 0.5}, Edge{2, 3, 0.125}, Edge{0, 4, 1}, Edge{1, 4, 0})
+	h, err := ReadBinary(bytes.NewReader(v1Bytes(g)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +97,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 func TestBinaryFileRoundTrip(t *testing.T) {
 	g := mustGraph(t, 3, Edge{0, 2, 0.75})
 	path := filepath.Join(t.TempDir(), "g.bin")
-	if err := SaveBinaryFile(path, g); err != nil {
+	if err := os.WriteFile(path, v1Bytes(g), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	h, err := LoadBinaryFile(path)
@@ -55,12 +125,7 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 }
 
 func TestBinaryRejectsBadVersion(t *testing.T) {
-	g := mustGraph(t, 2, Edge{0, 1, 0.5})
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := v1Bytes(mustGraph(t, 2, Edge{0, 1, 0.5}))
 	data[4] = 99 // corrupt version
 	if _, err := ReadBinary(bytes.NewReader(data)); !errors.Is(err, ErrBadFormat) {
 		t.Fatalf("want ErrBadFormat, got %v", err)
@@ -68,12 +133,8 @@ func TestBinaryRejectsBadVersion(t *testing.T) {
 }
 
 func TestBinaryRejectsTruncatedEdges(t *testing.T) {
-	g := mustGraph(t, 3, Edge{0, 1, 0.5}, Edge{1, 2, 0.5})
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()[:buf.Len()-7] // cut into the last edge
+	data := v1Bytes(mustGraph(t, 3, Edge{0, 1, 0.5}, Edge{1, 2, 0.5}))
+	data = data[:len(data)-7] // cut into the last edge
 	if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
 		t.Fatal("truncated edge data should error")
 	}
@@ -81,12 +142,7 @@ func TestBinaryRejectsTruncatedEdges(t *testing.T) {
 
 func TestBinaryRejectsImpossibleCounts(t *testing.T) {
 	// Header says 2 nodes, 9 edges: impossible for a simple graph.
-	var buf bytes.Buffer
-	g := mustGraph(t, 2, Edge{0, 1, 0.5})
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := v1Bytes(mustGraph(t, 2, Edge{0, 1, 0.5}))
 	data[12] = 9 // edge count low byte
 	if _, err := ReadBinary(bytes.NewReader(data)); !errors.Is(err, ErrBadFormat) {
 		t.Fatalf("want ErrBadFormat, got %v", err)
@@ -94,17 +150,12 @@ func TestBinaryRejectsImpossibleCounts(t *testing.T) {
 }
 
 // TestWriteBinaryRejectsOversizedGraph locks the writer-side count guard:
-// a graph with more than MaxFileNodes vertices used to be written with its
-// node count silently truncated through the uint32 header field, producing
-// a file ReadBinary refuses (or worse, mis-frames). The writer must refuse
-// up front instead. The graph is built as a bare struct literal — the
-// guard only needs the counts, and New would allocate adjacency slices for
-// 16M+ vertices.
+// a graph with more than MaxFileNodes vertices would produce a file
+// ReadBinary refuses, so the writer must refuse up front instead. The
+// graph is built as a bare struct literal — the guard only needs the
+// counts, and New would allocate adjacency slices for 16M+ vertices.
 func TestWriteBinaryRejectsOversizedGraph(t *testing.T) {
 	g := &Graph{edgeCore: edgeCore{n: MaxFileNodes + 1}}
-	if err := WriteBinary(&bytes.Buffer{}, g); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("WriteBinary on %d nodes: want ErrTooLarge, got %v", MaxFileNodes+1, err)
-	}
 	if err := WriteBinaryV2(&bytes.Buffer{}, g); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("WriteBinaryV2 on %d nodes: want ErrTooLarge, got %v", MaxFileNodes+1, err)
 	}
@@ -117,12 +168,7 @@ func TestWriteBinaryRejectsOversizedGraph(t *testing.T) {
 // reader used to stop after m edges and silently ignore whatever followed,
 // so a mis-framed or corrupt-header file could parse as a smaller graph.
 func TestBinaryRejectsTrailingGarbage(t *testing.T) {
-	g := mustGraph(t, 3, Edge{0, 1, 0.5}, Edge{1, 2, 0.25})
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	data := append(buf.Bytes(), 0xAB)
+	data := append(v1Bytes(mustGraph(t, 3, Edge{0, 1, 0.5}, Edge{1, 2, 0.25})), 0xAB)
 	if _, err := ReadBinary(bytes.NewReader(data)); !errors.Is(err, ErrBadFormat) {
 		t.Fatalf("trailing byte: want ErrBadFormat, got %v", err)
 	}
@@ -136,25 +182,11 @@ func TestBinaryRejectsTrailingGarbage(t *testing.T) {
 func TestBinaryRejectsEndpointBeyondHeaderN(t *testing.T) {
 	// Hand-build a v1 file: n=3, m=1, edge (1, 5): endpoint 5 >= n.
 	var buf bytes.Buffer
-	for _, v := range []uint32{binaryMagic, binaryVersion, 3, 1} {
-		if err := writeU32(&buf, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	writeU32(&buf, 1)
-	writeU32(&buf, 5)
-	var pb [8]byte
-	buf.Write(pb[:]) // p = 0.0
+	writeU32(&buf, binaryMagic, binaryVersion, 3, 1)
+	writeU32(&buf, 1, 5, 0, 0) // p = 0.0
 	if _, err := ReadBinary(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrBadFormat) {
 		t.Fatalf("endpoint 5 with n=3: want ErrBadFormat, got %v", err)
 	}
-}
-
-func writeU32(buf *bytes.Buffer, v uint32) error {
-	var b [4]byte
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-	_, err := buf.Write(b[:])
-	return err
 }
 
 func TestBinaryQuickRoundTrip(t *testing.T) {
@@ -170,11 +202,7 @@ func TestBinaryQuickRoundTrip(t *testing.T) {
 			}
 			g.MustAddEdge(u, v, rng.Float64())
 		}
-		var buf bytes.Buffer
-		if err := WriteBinary(&buf, g); err != nil {
-			return false
-		}
-		h, err := ReadBinary(&buf)
+		h, err := ReadBinary(bytes.NewReader(v1Bytes(g)))
 		if err != nil {
 			return false
 		}
@@ -200,7 +228,7 @@ func TestBinarySmallerThanTSV(t *testing.T) {
 	if err := WriteTSV(&tsv, g); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteBinary(&bin, g); err != nil {
+	if err := WriteBinaryV2(&bin, g); err != nil {
 		t.Fatal(err)
 	}
 	if bin.Len() >= tsv.Len() {
@@ -213,7 +241,7 @@ func TestLoadFileAutoDetectsBinary(t *testing.T) {
 	dir := t.TempDir()
 	binPath := filepath.Join(dir, "g.bin")
 	tsvPath := filepath.Join(dir, "g.tsv")
-	if err := SaveBinaryFile(binPath, g); err != nil {
+	if err := os.WriteFile(binPath, v1Bytes(g), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := SaveFile(tsvPath, g); err != nil {

@@ -31,15 +31,17 @@ func fuzzSeedV2() ([]byte, [][]byte) {
 // sides: arbitrary bytes fed to the binary readers (both the *Graph and
 // the CSR decoder) must fail cleanly with ErrBadFormat — never panic —
 // or yield an internally consistent graph, and any graph constructed from
-// the fuzzed bytes must survive TSV, v1 and v2 round trips unchanged,
-// including cross-format trips (TSV -> v1 -> v2), since LoadFile
-// auto-detects the format and all paths must agree on the graph.
+// the fuzzed bytes must survive TSV and v2 round trips and a decode of its
+// hand-built legacy v1 bytes unchanged, including cross-format trips
+// (TSV -> v1 -> v2), since LoadFile auto-detects the format and all paths
+// must agree on the graph.
 func FuzzGraphRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0, 1, 128, 1, 2, 255, 0, 2, 0})
 	f.Add([]byte("GRGU\x01\x00\x00\x00"))
 	f.Add([]byte{0x47, 0x52, 0x47, 0x55, 1, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0})
 	f.Add(bytes.Repeat([]byte{7}, 64))
+	f.Add(v1Bytes(mustGraph(f, 3, Edge{0, 1, 0.5}, Edge{1, 2, 0.123456789})))
 	validV2, mutants := fuzzSeedV2()
 	f.Add(validV2)
 	for _, m := range mutants {
@@ -103,16 +105,12 @@ func FuzzGraphRoundTrip(f *testing.F) {
 			t.Fatal("TSV round trip changed the graph")
 		}
 
-		var bin bytes.Buffer
-		if err := WriteBinary(&bin, fromTSV); err != nil {
-			t.Fatalf("WriteBinary: %v", err)
-		}
-		fromBin, err := ReadBinary(&bin)
+		fromBin, err := ReadBinary(bytes.NewReader(v1Bytes(fromTSV)))
 		if err != nil {
-			t.Fatalf("ReadBinary after write: %v", err)
+			t.Fatalf("ReadBinary(v1): %v", err)
 		}
 		if !g.Equal(fromBin) {
-			t.Fatal("TSV->binary round trip changed the graph")
+			t.Fatal("TSV->v1 decode changed the graph")
 		}
 
 		var v2 bytes.Buffer

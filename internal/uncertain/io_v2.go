@@ -39,9 +39,9 @@ import (
 // first so readers can size and validate everything that follows.
 //
 // The quantized probability column engages only when every probability
-// survives the q16 round-trip exactly (p == float64(q)/65535); otherwise
-// the writer falls back to the exact column, so decode(encode(g)) == g in
-// every case.
+// survives the q16 round-trip bit-exactly (p == float64(q)/65535, sign of
+// zero included); otherwise the writer falls back to the exact column, so
+// decode(encode(g)) == g in every case.
 const (
 	secMETA uint32 = 0x4154454D // "META"
 	secEDGE uint32 = 0x45474445 // "EDGE"
@@ -60,10 +60,10 @@ const q16Max = 65535
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // quantizeProb returns the q16 code for p and whether the round-trip is
-// exact.
+// bit-exact (compared as bits, so -0 is not taken for +0).
 func quantizeProb(p float64) (uint16, bool) {
 	q := uint16(math.Round(p * q16Max))
-	return q, float64(q)/q16Max == p
+	return q, math.Float64bits(float64(q)/q16Max) == math.Float64bits(p)
 }
 
 // Quantize16 snaps p to the nearest probability representable by the v2
@@ -214,9 +214,6 @@ func (vw *V2Writer) Close() error {
 // compact probability column; everything else round-trips bit-exactly
 // through the float64 column.
 func WriteBinaryV2(w io.Writer, g View) error {
-	if err := checkWritable(g.NumNodes(), g.NumEdges()); err != nil {
-		return err
-	}
 	vw, err := NewV2Writer(w, g.NumNodes())
 	if err != nil {
 		return err

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"math/rand/v2"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -88,10 +89,30 @@ func TestV2RoundTripEdgeCases(t *testing.T) {
 	}
 }
 
+// TestV2RoundTripKeepsSignOfZero: -0 compares equal to the q16 code 0, but
+// v2 is the only write format, so it must keep every probability's bits —
+// the checkpoint hash reads them. A -0 forces the float64 column.
+func TestV2RoundTripKeepsSignOfZero(t *testing.T) {
+	g := mustGraph(t, 3, Edge{0, 1, math.Copysign(0, -1)}, Edge{1, 2, 1})
+	var buf bytes.Buffer
+	if err := WriteBinaryV2(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	h, err := ReadBinary(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < g.NumEdges(); i++ {
+		if got, want := math.Float64bits(h.Edge(i).P), math.Float64bits(g.Edge(i).P); got != want {
+			t.Fatalf("edge %d: probability bits %#x after the round trip, want %#x", i, got, want)
+		}
+	}
+}
+
 func TestReadCSRMatchesReadBinary(t *testing.T) {
 	g := randomV2Graph(t, 9, 100, 300, true)
 	for name, write := range map[string]func(*bytes.Buffer) error{
-		"v1": func(b *bytes.Buffer) error { return WriteBinary(b, g) },
+		"v1": func(b *bytes.Buffer) error { b.Write(v1Bytes(g)); return nil },
 		"v2": func(b *bytes.Buffer) error { return WriteBinaryV2(b, g) },
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -333,9 +354,7 @@ func TestV2SmallerThanV1AndTSV(t *testing.T) {
 	if err := WriteTSV(&tsv, g); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteBinary(&v1, g); err != nil {
-		t.Fatal(err)
-	}
+	v1.Write(v1Bytes(g))
 	if err := WriteBinaryV2(&v2, g); err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +371,7 @@ func TestLoadFileAndLoadCSRAutoDetectV2(t *testing.T) {
 	dir := t.TempDir()
 	paths := map[string]func(string) error{
 		"g.tsv": func(p string) error { return SaveFile(p, g) },
-		"g.v1":  func(p string) error { return SaveBinaryFile(p, g) },
+		"g.v1":  func(p string) error { return os.WriteFile(p, v1Bytes(g), 0o644) },
 		"g.v2":  func(p string) error { return SaveBinaryV2File(p, g) },
 	}
 	for name, save := range paths {

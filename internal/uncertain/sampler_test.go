@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// mixedGraph covers every sampler class: impossible (p=0), certain (p=1),
-// high-probability per-edge draws, and a low-probability class populous
-// enough (>= geomMinRun edges sharing one p < geomCut) to be skip-sampled.
+// mixedGraph covers every per-edge case of the threshold kernel:
+// impossible (p=0), certain (p=1), high-probability draws, and a run of
+// low-probability edges sharing one p.
 func mixedGraph() *Graph {
 	g := New(40)
 	g.MustAddEdge(0, 1, 0)
@@ -71,58 +71,6 @@ func TestSamplerInvalidation(t *testing.T) {
 	for j := 0; j < g.NumEdges(); j++ {
 		if w.Present(j) != want.Present(j) {
 			t.Fatalf("rebuilt sampler disagrees with SampleWorld at edge %d", j)
-		}
-	}
-}
-
-// TestGeometricSamplerDeterministic: the skip sampler is deterministic per
-// seed (same PCG state => same world), even though its stream consumption
-// differs from SampleInto.
-func TestGeometricSamplerDeterministic(t *testing.T) {
-	g := mixedGraph()
-	s := g.Sampler()
-	var w1, w2 World
-	var pcg rand.PCG
-	pcg.Seed(3, 99)
-	s.SampleIntoGeometric(&w1, &pcg)
-	bits1 := append(Bitset(nil), w1.Bits()...)
-	pcg.Seed(3, 99)
-	s.SampleIntoGeometric(&w2, &pcg)
-	for i, word := range w2.Bits() {
-		if bits1[i] != word {
-			t.Fatal("geometric sampler is not deterministic per seed")
-		}
-	}
-	if w1.NumEdges() != w2.NumEdges() {
-		t.Fatal("edge count mismatch across identical seeds")
-	}
-}
-
-// TestGeometricSamplerFrequency: geometric-skip sampling must preserve
-// per-edge inclusion frequencies — same distribution as the per-edge path,
-// just a different stream.
-func TestGeometricSamplerFrequency(t *testing.T) {
-	g := mixedGraph()
-	s := g.Sampler()
-	const n = 20000
-	counts := make([]int, g.NumEdges())
-	var w World
-	var pcg rand.PCG
-	for i := 0; i < n; i++ {
-		pcg.Seed(11, uint64(i))
-		s.SampleIntoGeometric(&w, &pcg)
-		for j := range counts {
-			if w.Present(j) {
-				counts[j]++
-			}
-		}
-	}
-	for j := range counts {
-		p := g.Edge(j).P
-		got := float64(counts[j]) / n
-		// ~6 sigma for the worst-case p=0.5 edge at n=20000 is ~0.021.
-		if diff := got - p; diff > 0.025 || diff < -0.025 {
-			t.Errorf("edge %d (p=%v): geometric inclusion frequency %v", j, p, got)
 		}
 	}
 }

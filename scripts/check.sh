@@ -253,6 +253,34 @@ if ! echo "$smoke_out" | grep -Eq 'edges +100000'; then
 fi
 echo "v2 smoke: streamed file round-tripped through genug -> ugstat"
 
+echo "== v2 write smoke (genug -> chameleon -binary -> certify + ugstat) =="
+# v2 is the only write format: genug writes the input, chameleon -binary
+# publishes through SaveGraphBinary, and certify and ugstat must read the
+# published file back. v1 is read-only, so asking genug to write it is a
+# usage error (exit 2). Built binaries, not go run, so exit codes are the
+# tools' own.
+smokedir=$(mktemp -d)
+go build -o "$smokedir/" ./cmd/genug ./cmd/chameleon ./cmd/certify ./cmd/ugstat
+"$smokedir/genug" -topology ba -nodes 300 -degree 3 -probs discrete \
+    -format v2 -seed 5 -o "$smokedir/in.ug2"
+"$smokedir/chameleon" -in "$smokedir/in.ug2" -out "$smokedir/pub.ug2" -binary \
+    -k 5 -eps 0.05 -samples 100 -seed 7 -q
+"$smokedir/certify" -orig "$smokedir/in.ug2" -pub "$smokedir/pub.ug2" -k 5 -eps 0.05
+pub_stats=$("$smokedir/ugstat" -g "$smokedir/pub.ug2" -metric-samples 2)
+echo "$pub_stats"
+v1_status=0
+"$smokedir/genug" -topology ba -nodes 30 -format v1 -o "$smokedir/g.v1" 2>/dev/null || v1_status=$?
+rm -rf "$smokedir"
+if ! echo "$pub_stats" | grep -Eq 'nodes +300'; then
+    echo "v2 write smoke: ugstat did not report the published graph's 300 nodes" >&2
+    exit 1
+fi
+if [ "$v1_status" != "2" ]; then
+    echo "v2 write smoke: genug -format v1 exited $v1_status, want 2 (usage error)" >&2
+    exit 1
+fi
+echo "v2 write smoke: published v2 certified and read back; genug -format v1 is a usage error"
+
 echo "== ugload smoke (query-plane SLO, open + closed loop) =="
 # A short load run in both loop disciplines against a small generated
 # graph. This validates the whole query plane end to end (dispatcher,
