@@ -191,8 +191,9 @@ type Result struct {
 }
 
 // Trace returns the phase-level search trace of the run: a root
-// "anonymize" span with "precompute", "exponential-search" and "bisection"
-// children; each search phase holds one "genobf" span per call (sigma
+// "anonymize" span with "precompute" (split into "uniqueness",
+// "relevance" for RS/RSME, and "weights"), "exponential-search" and
+// "bisection" children; each search phase holds one "genobf" span per call (sigma
 // attribute) whose "attempt" children carry the per-trial outcome
 // (epsilon_tilde, ok, injected_edges) and wall time.
 func (r *Result) Trace() *Trace { return r.trace }

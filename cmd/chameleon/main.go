@@ -31,6 +31,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"chameleon"
@@ -211,9 +212,9 @@ func writeOutput(f runFlags, res *chameleon.Result) error {
 	return save(f.out, res.Graph)
 }
 
-// writePhaseBreakdown reports where the run's time went: the relevance/
-// uniqueness precompute versus the two sigma-search phases, with the
-// genObf effort behind each.
+// writePhaseBreakdown reports where the run's time went: the precompute,
+// split into its uniqueness, relevance and weights layers, versus the two
+// sigma-search phases, with the genObf effort behind each.
 func writePhaseBreakdown(res *chameleon.Result) {
 	t := res.Trace()
 	if t == nil {
@@ -226,9 +227,15 @@ func writePhaseBreakdown(res *chameleon.Result) {
 	if pre == nil || exp == nil || bis == nil {
 		return
 	}
+	var layers []string
+	for _, name := range []string{"uniqueness", "relevance", "weights"} {
+		if s := pre.Find(name); s != nil {
+			layers = append(layers, fmt.Sprintf("%s %v", name, rnd(s)))
+		}
+	}
 	fmt.Fprintf(os.Stderr,
-		"phases: precompute %v (relevance+uniqueness), sigma search %v (exponential %v in %d genobf calls, bisection %v in %d calls)\n",
-		rnd(pre), (exp.Duration() + bis.Duration()).Round(time.Millisecond),
+		"phases: precompute %v (%s), sigma search %v (exponential %v in %d genobf calls, bisection %v in %d calls)\n",
+		rnd(pre), strings.Join(layers, ", "), (exp.Duration() + bis.Duration()).Round(time.Millisecond),
 		rnd(exp), len(exp.FindAll("genobf")), rnd(bis), len(bis.FindAll("genobf")))
 }
 

@@ -56,7 +56,7 @@ func AnonymizeContext(ctx context.Context, g *uncertain.Graph, p Params) (*Resul
 	defer root.End()
 
 	pre := root.StartChild("precompute")
-	st, err := newSearchState(ctx, g, p)
+	st, err := newSearchState(ctx, g, p, pre)
 	pre.End()
 	if err != nil {
 		return nil, err
@@ -220,19 +220,33 @@ type searchState struct {
 	lastCkpt int       // GenObfCalls at the last periodic checkpoint
 }
 
-func newSearchState(ctx context.Context, g *uncertain.Graph, p Params) (*searchState, error) {
+// newSearchState computes the search invariants, one child span of pre
+// per layer: "uniqueness", "relevance" (reliability-sensitive variants
+// only) and "weights". A cancelled ctx stops it before the Monte Carlo
+// relevance starts.
+func newSearchState(ctx context.Context, g *uncertain.Graph, p Params, pre *obs.Span) (*searchState, error) {
 	n := g.NumNodes()
 
+	sp := pre.StartChild("uniqueness")
 	uniq := privacy.VertexUniqueness(g)
+	sp.End()
 
 	var vrr []float64
 	if p.Variant.reliabilitySensitive() {
+		if err := ctx.Err(); err != nil {
+			return nil, interruptErr(err, 0)
+		}
+		sp = pre.StartChild("relevance")
 		est := p.estimator(ctx)
 		edgeRel := est.EdgeRelevance(g)
 		vrr = reliability.NormalizeToUnit(reliability.VertexRelevance(g, edgeRel))
+		sp.End()
 	} else {
 		vrr = make([]float64, n)
 	}
+
+	sp = pre.StartChild("weights")
+	defer sp.End()
 
 	// Exclusion: the ceil(eps/2 * |V|) vertices with the largest combined
 	// uniqueness-and-relevance score are exempted from obfuscation effort.

@@ -229,7 +229,8 @@ type Result struct {
 	// Variant echoes the heuristic combination used.
 	Variant Variant
 	// Trace is the phase-level search trace: a "precompute" span for the
-	// score precomputation, then one span per search phase
+	// score precomputation (children "uniqueness", "relevance" for
+	// RS/RSME, and "weights"), then one span per search phase
 	// ("exponential-search", "bisection") whose "genobf" children carry
 	// the sigma tried, and whose "attempt" grandchildren carry the
 	// per-trial outcome (epsilon_tilde, ok, injected_edges) and wall

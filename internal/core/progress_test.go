@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"chameleon/internal/obs"
@@ -51,6 +52,14 @@ func TestAnonymizeProgressGauges(t *testing.T) {
 	}
 	if _, ok := res.Trace.Find("exponential-search").Attr("doublings"); !ok {
 		t.Error("exponential-search span missing the doublings attr")
+	}
+	// The precompute splits into its three layers, in order.
+	var layers []string
+	for _, c := range res.Trace.Find("precompute").Children {
+		layers = append(layers, c.Name)
+	}
+	if want := []string{"uniqueness", "relevance", "weights"}; !slices.Equal(layers, want) {
+		t.Errorf("precompute children = %v, want %v", layers, want)
 	}
 	gsp := res.Trace.Find("genobf")
 	if gsp == nil {
